@@ -121,6 +121,13 @@ PIMFLOW_JOBS=2 cargo test -q --offline -p pimflow overlap
 echo "==> cargo test -p pimflow-kernels (PIMFLOW_EXACT_KERNELS=1)"
 PIMFLOW_EXACT_KERNELS=1 PIMFLOW_JOBS=2 cargo test -q --offline -p pimflow-kernels
 
+# The benchmark is a Cargo workspace of its own (perfbench/) with path
+# dependencies on the library crates, so the workspace build above does
+# not cover it: build it here so a library API change that breaks the
+# benchmark fails CI.
+echo "==> cargo build perfbench"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

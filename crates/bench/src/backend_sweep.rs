@@ -43,6 +43,9 @@ pub struct ModelBackendRow {
     pub mixed_newton_splits: usize,
     /// Split decisions the mixed search placed on the crossbar.
     pub mixed_crossbar_splits: usize,
+    /// Fused regions the mixed search placed on the crossbar (a region
+    /// that prices cheapest there carries the backend as one decision).
+    pub mixed_crossbar_regions: usize,
     /// Pipeline chains the mixed search kept (Newton-only by construction).
     pub mixed_pipelines: usize,
     /// `mixed_us <= newton_us && mixed_us <= crossbar_us` (must hold: the
@@ -62,6 +65,7 @@ json_struct!(ModelBackendRow {
     mixed_us,
     mixed_newton_splits,
     mixed_crossbar_splits,
+    mixed_crossbar_regions,
     mixed_pipelines,
     mixed_beats_or_matches_both,
     newton_bit_identical,
@@ -160,7 +164,8 @@ pub fn sweep(model_names: &[&str], widths: &[usize], jobs: usize) -> BackendRepo
             let newton_plan = search(&newton_cfg, jobs);
             let crossbar_plan = search(&crossbar_cfg, jobs);
             let mixed_plan = search(&mixed_cfg, jobs);
-            let (mut newton_splits, mut crossbar_splits, mut pipelines) = (0, 0, 0);
+            let (mut newton_splits, mut crossbar_splits, mut crossbar_regions, mut pipelines) =
+                (0, 0, 0, 0);
             for (_, d) in &mixed_plan.decisions {
                 match d {
                     Decision::Split {
@@ -170,6 +175,10 @@ pub fn sweep(model_names: &[&str], widths: &[usize], jobs: usize) -> BackendRepo
                         BackendKind::Newton => newton_splits += 1,
                         BackendKind::Crossbar => crossbar_splits += 1,
                     },
+                    Decision::Fused {
+                        backend: BackendKind::Crossbar,
+                        ..
+                    } => crossbar_regions += 1,
                     Decision::Pipeline { .. } => pipelines += 1,
                     _ => {}
                 }
@@ -182,6 +191,7 @@ pub fn sweep(model_names: &[&str], widths: &[usize], jobs: usize) -> BackendRepo
                 mixed_us: mixed_plan.predicted_us,
                 mixed_newton_splits: newton_splits,
                 mixed_crossbar_splits: crossbar_splits,
+                mixed_crossbar_regions: crossbar_regions,
                 mixed_pipelines: pipelines,
                 mixed_beats_or_matches_both: mixed_plan.predicted_us <= newton_plan.predicted_us
                     && mixed_plan.predicted_us <= crossbar_plan.predicted_us,
@@ -197,7 +207,10 @@ pub fn sweep(model_names: &[&str], widths: &[usize], jobs: usize) -> BackendRepo
         probed_widths: widths.to_vec(),
         newton_interpreter_bit_identical: rows.iter().all(|r| r.newton_bit_identical),
         mixed_no_worse_anywhere: rows.iter().all(|r| r.mixed_beats_or_matches_both),
-        models_using_crossbar: rows.iter().filter(|r| r.mixed_crossbar_splits > 0).count(),
+        models_using_crossbar: rows
+            .iter()
+            .filter(|r| r.mixed_crossbar_splits + r.mixed_crossbar_regions > 0)
+            .count(),
         models: rows,
     }
 }
@@ -285,7 +298,7 @@ mod tests {
         let report = sweep(&["vgg-16"], &[1], 2);
         let m = &report.models[0];
         assert!(
-            m.mixed_crossbar_splits > 0,
+            m.mixed_crossbar_splits + m.mixed_crossbar_regions > 0,
             "mixed search never used the crossbar on vgg-16"
         );
         assert!(m.mixed_us <= m.newton_us);

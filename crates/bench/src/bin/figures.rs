@@ -472,7 +472,7 @@ fn backend_sweep(dir: &str, smoke: bool) {
     );
     for m in &report.models {
         println!(
-            "  {:<22} {:>4} nodes  newton {:>9.1}us  crossbar {:>9.1}us  mixed {:>9.1}us               splits n/x {:>2}/{:<2}  pipes {:>2}  identical {}",
+            "  {:<22} {:>4} nodes  newton {:>9.1}us  crossbar {:>9.1}us  mixed {:>9.1}us               splits n/x {:>2}/{:<2}  xbar regions {:>2}  pipes {:>2}  identical {}",
             m.model,
             m.nodes,
             m.newton_us,
@@ -480,6 +480,7 @@ fn backend_sweep(dir: &str, smoke: bool) {
             m.mixed_us,
             m.mixed_newton_splits,
             m.mixed_crossbar_splits,
+            m.mixed_crossbar_regions,
             m.mixed_pipelines,
             m.newton_bit_identical
         );

@@ -13,7 +13,7 @@ use pimflow_ir::{Conv2dAttrs, Graph, NodeId, Op, Shape};
 use pimflow_isa::{FusedRole, IsaProgram};
 use pimflow_kernels::lowered_dims;
 use pimflow_pimsim::{
-    lift_traces, pim_energy_nj, schedule, ChannelStats, CommandBlock, NewtonInterpreter, PimConfig,
+    pim_energy_nj, schedule_program, ChannelStats, CommandBlock, NewtonInterpreter, PimConfig,
     PimEnergyParams, RunOptions, ScheduleGranularity,
 };
 
@@ -144,7 +144,8 @@ pub fn generate_blocks(w: &PimWorkload, cfg: &PimConfig) -> Vec<CommandBlock> {
 /// blocks, schedule them over `channels` channels, and lift the scheduled
 /// traces into `pimflow-isa` form. This is the artifact backends carry —
 /// interpreting it under [`NewtonInterpreter`] reproduces the legacy
-/// trace timing bit-exactly (lift and lower are exact inverses).
+/// trace timing bit-exactly (lift and lower are exact inverses). Channels
+/// the scheduler hands equal unit sequences share one stream.
 ///
 /// # Panics
 ///
@@ -156,8 +157,7 @@ pub fn generate_program(
     granularity: ScheduleGranularity,
 ) -> IsaProgram {
     let blocks = generate_blocks(w, cfg);
-    let traces = schedule(&blocks, channels, granularity, cfg, &RunOptions::new());
-    lift_traces(&traces)
+    schedule_program(&blocks, channels, granularity, cfg, &RunOptions::new())
 }
 
 /// Like [`generate_program`], but lowered for a fusion-group member: the
@@ -172,7 +172,7 @@ pub fn generate_fused_program(
     granularity: ScheduleGranularity,
     role: FusedRole,
 ) -> IsaProgram {
-    role.rewrite_program(&generate_program(w, cfg, channels, granularity))
+    role.rewrite_program(generate_program(w, cfg, channels, granularity))
 }
 
 /// Compiles a whole fusion group into one overlap-linked program: each

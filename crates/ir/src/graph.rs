@@ -9,7 +9,7 @@
 use crate::ops::Op;
 use crate::tensor::{DataType, Shape, TensorDesc};
 use pimflow_json::{json_struct, FromJson, Json, JsonError, ToJson};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -372,26 +372,71 @@ impl Graph {
         self.consumers(self.node(id).output)
     }
 
-    /// Kahn topological order over live nodes.
+    /// Kahn topological order over live nodes: among ready nodes the
+    /// smallest id goes first, and the nodes a step unlocks queue in id
+    /// order. Linear in nodes plus edges: successor lists are built once
+    /// from the deduplicated [`Graph::predecessors`].
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::Cycle`] if the graph is cyclic.
+    /// Returns [`GraphError::Cycle`] if the graph is cyclic, naming the
+    /// smallest-id node left unsorted.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, GraphError> {
-        let mut indegree: HashMap<NodeId, usize> = HashMap::new();
+        let n = self.nodes.len();
+        let mut indegree = vec![0usize; n];
+        let mut successors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut live = 0usize;
+        for id in self.node_ids() {
+            live += 1;
+            let preds = self.predecessors(id);
+            indegree[id.0] = preds.len();
+            for p in preds {
+                successors[p.0].push(id);
+            }
+        }
+        let mut ready: VecDeque<NodeId> =
+            self.node_ids().filter(|id| indegree[id.0] == 0).collect();
+        let mut sorted: Vec<NodeId> = Vec::with_capacity(live);
+        let mut unlocked = Vec::new();
+        while let Some(id) = ready.pop_front() {
+            sorted.push(id);
+            // Successor lists fill in ascending id order, so the unlocked
+            // nodes are already sorted.
+            for &succ in &successors[id.0] {
+                indegree[succ.0] -= 1;
+                if indegree[succ.0] == 0 {
+                    unlocked.push(succ);
+                }
+            }
+            ready.extend(unlocked.drain(..));
+        }
+        if sorted.len() != live {
+            let stuck = self
+                .node_ids()
+                .find(|id| indegree[id.0] > 0)
+                .map(|id| self.node(id).name.clone())
+                .unwrap_or_default();
+            return Err(GraphError::Cycle(stuck));
+        }
+        Ok(sorted)
+    }
+
+    /// The quadratic Kahn order `topo_order` replaced (a consumer scan per
+    /// node), kept as the reference the linear version must match.
+    #[cfg(test)]
+    pub(crate) fn topo_order_reference(&self) -> Result<Vec<NodeId>, GraphError> {
+        let mut indegree: std::collections::HashMap<NodeId, usize> = Default::default();
         for id in self.node_ids() {
             indegree.insert(id, self.predecessors(id).len());
         }
-        let mut queue: VecDeque<NodeId> = indegree
+        let mut ready: Vec<NodeId> = indegree
             .iter()
             .filter(|&(_, &d)| d == 0)
             .map(|(&id, _)| id)
             .collect();
-        let mut sorted: Vec<NodeId> = Vec::with_capacity(indegree.len());
-        // Deterministic order: smallest id first among ready nodes.
-        let mut ready: Vec<NodeId> = queue.drain(..).collect();
         ready.sort();
         let mut ready: VecDeque<NodeId> = ready.into();
+        let mut sorted: Vec<NodeId> = Vec::with_capacity(indegree.len());
         while let Some(id) = ready.pop_front() {
             sorted.push(id);
             let mut unlocked = Vec::new();
@@ -403,17 +448,10 @@ impl Graph {
                 }
             }
             unlocked.sort();
-            for u in unlocked {
-                ready.push_back(u);
-            }
+            ready.extend(unlocked);
         }
         if sorted.len() != indegree.len() {
-            let stuck = indegree
-                .iter()
-                .find(|&(id, _)| !sorted.contains(id))
-                .map(|(&id, _)| self.node(id).name.clone())
-                .unwrap_or_default();
-            return Err(GraphError::Cycle(stuck));
+            return Err(GraphError::Cycle(String::new()));
         }
         Ok(sorted)
     }
@@ -565,6 +603,7 @@ impl fmt::Display for Graph {
 mod tests {
     use super::*;
     use crate::ops::{ConcatAttrs, Conv2dAttrs};
+    use std::collections::HashMap;
 
     fn diamond() -> Graph {
         let mut g = Graph::new("diamond");
@@ -597,6 +636,77 @@ mod tests {
             }
         }
         assert_eq!(order.len(), 4);
+    }
+
+    /// A seeded random DAG: fan-out, rejoins, a node reading one value
+    /// twice, and removed nodes whose consumers were rewired.
+    fn random_dag(seed: u64) -> Graph {
+        let mut rng = pimflow_rng::Rng::seed_from_u64(seed);
+        let mut g = Graph::new("random");
+        let mut values = vec![g.add_input("x", Shape::rf(1, 4), DataType::F16)];
+        for i in 0..rng.range_usize(2, 60) {
+            let a = *rng.pick(&values);
+            let b = *rng.pick(&values);
+            let v = if rng.chance(0.5) {
+                g.add_node(format!("add{i}"), Op::Add, vec![a, b])
+            } else {
+                g.add_node(
+                    format!("act{i}"),
+                    Op::Activation(crate::ops::ActivationKind::Relu),
+                    vec![a],
+                )
+            };
+            values.push(v);
+        }
+        g.mark_output(*values.last().expect("input"));
+        for _ in 0..rng.range_usize(0, 4) {
+            let ids: Vec<NodeId> = g.node_ids().collect();
+            if ids.len() < 2 {
+                break;
+            }
+            let id = *rng.pick(&ids);
+            let out = g.node(id).output;
+            let input = g.node(id).inputs[0];
+            g.replace_uses(out, input);
+            g.remove_node(id);
+        }
+        g
+    }
+
+    #[test]
+    fn linear_topo_order_matches_the_quadratic_reference() {
+        let zoo = [
+            "toy",
+            "efficientnet-v1-b0",
+            "efficientnet-v1-b6",
+            "mobilenet-v2",
+            "mnasnet-1.0",
+            "resnet-18",
+            "resnet-50",
+            "vgg-16",
+            "squeezenet-1.1",
+            "unet-small",
+            "bert-3",
+        ];
+        for name in zoo {
+            let g = crate::models::by_name(name).expect("zoo model");
+            assert_eq!(g.topo_order(), g.topo_order_reference(), "{name}");
+        }
+        for seed in 0..64 {
+            let g = random_dag(seed);
+            assert_eq!(g.topo_order(), g.topo_order_reference(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn cycle_names_the_smallest_stuck_node() {
+        let mut g = Graph::new("cyclic");
+        let x = g.add_input("x", Shape::rf(1, 4), DataType::F16);
+        let a = g.add_node("a", Op::Add, vec![x, x]);
+        let b = g.add_node("b", Op::Add, vec![a, x]);
+        let a_id = g.find_node("a").unwrap();
+        g.node_mut(a_id).inputs = vec![x, b];
+        assert!(matches!(g.topo_order(), Err(GraphError::Cycle(name)) if name == "a"));
     }
 
     #[test]

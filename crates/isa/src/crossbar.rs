@@ -250,7 +250,7 @@ pub fn estimate_shape_us_fused(
     cfg: &CrossbarConfig,
     role: FusedRole,
 ) -> f64 {
-    let program = role.rewrite_program(&lower_shape(shape, channels, cfg));
+    let program = role.rewrite_program(lower_shape(shape, channels, cfg));
     CrossbarInterpreter::new(*cfg).interpret_us(&program)
 }
 
@@ -272,7 +272,7 @@ pub fn estimate_chain_us_overlapped(
     let channels = channels.max(1);
     let mut linked: Option<IsaProgram> = None;
     for (shape, role) in members {
-        let p = role.rewrite_program(&lower_shape(shape, channels, cfg));
+        let p = role.rewrite_program(lower_shape(shape, channels, cfg));
         match &mut linked {
             Some(chain) => chain.append_overlapped(&p),
             None => linked = Some(p),

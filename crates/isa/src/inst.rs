@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// One typed PIM instruction.
 ///
@@ -136,18 +137,17 @@ impl FusedRole {
     }
 
     /// Rewrites every instruction of `program` for this role (see
-    /// [`FusedRole::rewrite`]).
-    pub fn rewrite_program(self, program: &IsaProgram) -> IsaProgram {
-        if self == FusedRole::Standalone {
-            return program.clone();
+    /// [`FusedRole::rewrite`]), once per distinct stream. `Standalone`
+    /// returns the program untouched.
+    pub fn rewrite_program(self, mut program: IsaProgram) -> IsaProgram {
+        if self != FusedRole::Standalone {
+            program.map_streams(|s| {
+                for inst in s.iter_mut() {
+                    *inst = self.rewrite(*inst);
+                }
+            });
         }
-        IsaProgram::from_channels(
-            program
-                .channels()
-                .iter()
-                .map(|ch| ch.iter().map(|&i| self.rewrite(i)).collect())
-                .collect(),
-        )
+        program
     }
 }
 
@@ -190,27 +190,49 @@ impl Error for ProgramError {}
 /// Within a channel, instructions execute in order; across channels, only
 /// [`PimInst::Barrier`]s order execution.
 ///
+/// Channels that run the same instruction sequence may hold one shared
+/// stream (the block scheduler hands most channels of a layer the same
+/// units, so most streams repeat). Sharing is invisible to the program's
+/// meaning: equality, the text form and every interpreter see one stream
+/// per channel. It only lets generation, role rewrites, linking and timing
+/// touch each distinct stream once — every transformation here maps a
+/// shared stream once and keeps the channels that shared it sharing the
+/// result.
+///
 /// [`Interpreter`]: crate::backend::Interpreter
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IsaProgram {
-    channels: Vec<Vec<PimInst>>,
+    // `Arc`'s equality compares contents, short-circuiting on pointer
+    // identity, so shared and unshared programs compare by value.
+    channels: Vec<Arc<Vec<PimInst>>>,
 }
 
 impl IsaProgram {
-    /// An empty program over `channels` channels.
+    /// An empty program over `channels` channels (sharing one empty
+    /// stream).
     pub fn new(channels: usize) -> Self {
+        let empty = Arc::new(Vec::new());
         IsaProgram {
-            channels: vec![Vec::new(); channels],
+            channels: vec![empty; channels],
         }
     }
 
-    /// Wraps per-channel instruction streams into a program.
+    /// Wraps per-channel instruction streams into a program (no sharing).
     pub fn from_channels(channels: Vec<Vec<PimInst>>) -> Self {
+        IsaProgram {
+            channels: channels.into_iter().map(Arc::new).collect(),
+        }
+    }
+
+    /// Wraps per-channel shared streams into a program: channels holding
+    /// clones of one `Arc` share that stream.
+    pub fn from_streams(channels: Vec<Arc<Vec<PimInst>>>) -> Self {
         IsaProgram { channels }
     }
 
-    /// The per-channel instruction streams, in channel order.
-    pub fn channels(&self) -> &[Vec<PimInst>] {
+    /// The per-channel instruction streams, in channel order. Channels
+    /// that share a stream hold the same `Arc` ([`Arc::ptr_eq`]).
+    pub fn channels(&self) -> &[Arc<Vec<PimInst>>] {
         &self.channels
     }
 
@@ -219,30 +241,42 @@ impl IsaProgram {
         self.channels.len()
     }
 
+    /// Number of distinct streams the channels hold (shared streams count
+    /// once). A test aid for checking that sharing survives a transform.
+    #[doc(hidden)]
+    pub fn distinct_streams(&self) -> usize {
+        let mut seen: Vec<&Arc<Vec<PimInst>>> = Vec::new();
+        for ch in &self.channels {
+            if !seen.iter().any(|s| Arc::ptr_eq(s, ch)) {
+                seen.push(ch);
+            }
+        }
+        seen.len()
+    }
+
     /// Total instruction count over all channels.
     pub fn len(&self) -> usize {
-        self.channels.iter().map(Vec::len).sum()
+        self.channels.iter().map(|ch| ch.len()).sum()
     }
 
     /// Whether the program contains no instructions at all.
     pub fn is_empty(&self) -> bool {
-        self.channels.iter().all(Vec::is_empty)
+        self.channels.iter().all(|ch| ch.is_empty())
     }
 
-    /// Appends one instruction to `channel`'s stream.
+    /// Appends one instruction to `channel`'s stream (that channel stops
+    /// sharing its stream with any other).
     ///
     /// # Panics
     ///
     /// Panics when `channel` is out of range.
     pub fn push(&mut self, channel: usize, inst: PimInst) {
-        self.channels[channel].push(inst);
+        Arc::make_mut(&mut self.channels[channel]).push(inst);
     }
 
     /// Appends a [`PimInst::Barrier`] to every channel.
     pub fn barrier(&mut self) {
-        for ch in &mut self.channels {
-            ch.push(PimInst::Barrier);
-        }
+        self.map_streams(|s| s.push(PimInst::Barrier));
     }
 
     /// Links `other` after this program with a separating barrier — the
@@ -253,15 +287,7 @@ impl IsaProgram {
     ///
     /// Panics when the channel counts differ.
     pub fn append(&mut self, other: &IsaProgram) {
-        assert_eq!(
-            self.num_channels(),
-            other.num_channels(),
-            "cannot link programs over different channel counts"
-        );
-        self.barrier();
-        for (ch, stream) in self.channels.iter_mut().zip(other.channels.iter()) {
-            ch.extend_from_slice(stream);
-        }
+        self.zip_streams(other, PimInst::Barrier);
     }
 
     /// Links `other` after this program with a relaxed
@@ -274,15 +300,81 @@ impl IsaProgram {
     ///
     /// Panics when the channel counts differ.
     pub fn append_overlapped(&mut self, other: &IsaProgram) {
+        self.zip_streams(other, PimInst::OverlapBarrier);
+    }
+
+    /// Applies `f` once to every distinct stream. Channels that shared a
+    /// stream share the result; a stream this program owns alone is
+    /// updated in place, a stream shared with another program is copied
+    /// first.
+    fn map_streams(&mut self, mut f: impl FnMut(&mut Vec<PimInst>)) {
+        let (mut distinct, index) = self.take_distinct();
+        for s in &mut distinct {
+            f(Arc::make_mut(s));
+        }
+        self.channels = index.into_iter().map(|i| distinct[i].clone()).collect();
+    }
+
+    /// Moves the streams out, deduplicated by identity: the distinct
+    /// streams in first-use order and each channel's index into them.
+    /// Dropping the duplicate handles leaves a stream no other program
+    /// holds uniquely owned, so [`Arc::make_mut`] updates it in place.
+    fn take_distinct(&mut self) -> (Vec<Arc<Vec<PimInst>>>, Vec<usize>) {
+        let mut distinct: Vec<Arc<Vec<PimInst>>> = Vec::new();
+        let mut index = Vec::with_capacity(self.channels.len());
+        for ch in std::mem::take(&mut self.channels) {
+            match distinct.iter().position(|s| Arc::ptr_eq(s, &ch)) {
+                Some(i) => index.push(i),
+                None => {
+                    index.push(distinct.len());
+                    distinct.push(ch);
+                }
+            }
+        }
+        (distinct, index)
+    }
+
+    /// Concatenates `other`'s streams after this program's, separated by
+    /// `separator`, building each distinct (own stream, other stream) pair
+    /// once.
+    fn zip_streams(&mut self, other: &IsaProgram, separator: PimInst) {
         assert_eq!(
             self.num_channels(),
             other.num_channels(),
             "cannot link programs over different channel counts"
         );
-        for (ch, stream) in self.channels.iter_mut().zip(other.channels.iter()) {
-            ch.push(PimInst::OverlapBarrier);
-            ch.extend_from_slice(stream);
+        let (distinct, index) = self.take_distinct();
+        let mut pairs: Vec<(usize, &Arc<Vec<PimInst>>)> = Vec::new();
+        let pair_of: Vec<usize> = index
+            .iter()
+            .zip(&other.channels)
+            .map(|(&i, tail)| {
+                match pairs
+                    .iter()
+                    .position(|&(j, t)| j == i && Arc::ptr_eq(t, tail))
+                {
+                    Some(p) => p,
+                    None => {
+                        pairs.push((i, tail));
+                        pairs.len() - 1
+                    }
+                }
+            })
+            .collect();
+        // With `distinct` dropped, a head is copied only while another
+        // pair still holds it; its last pair extends it in place.
+        let mut linked: Vec<Arc<Vec<PimInst>>> = pairs
+            .iter()
+            .map(|&(i, _)| Arc::clone(&distinct[i]))
+            .collect();
+        drop(distinct);
+        for (head, &(_, tail)) in linked.iter_mut().zip(&pairs) {
+            let s = Arc::make_mut(head);
+            s.reserve(tail.len() + 1);
+            s.push(separator);
+            s.extend_from_slice(tail);
         }
+        self.channels = pair_of.into_iter().map(|p| linked[p].clone()).collect();
     }
 
     /// Shifts every [`PimInst::RowActivate`] row index by `delta`
@@ -292,13 +384,16 @@ impl IsaProgram {
     /// member past its predecessor's rows keeps the row-buffer behaviour
     /// physical.
     pub fn offset_rows(&mut self, delta: u32) {
-        for ch in &mut self.channels {
-            for inst in ch.iter_mut() {
+        if delta == 0 {
+            return;
+        }
+        self.map_streams(|s| {
+            for inst in s.iter_mut() {
                 if let PimInst::RowActivate { row } = inst {
                     *row = row.saturating_add(delta);
                 }
             }
-        }
+        });
     }
 
     /// The largest [`PimInst::RowActivate`] row index in the program, if
@@ -306,7 +401,7 @@ impl IsaProgram {
     pub fn max_row(&self) -> Option<u32> {
         self.channels
             .iter()
-            .flatten()
+            .flat_map(|ch| ch.iter())
             .filter_map(|i| match i {
                 PimInst::RowActivate { row } => Some(*row),
                 _ => None,
@@ -373,7 +468,7 @@ mod tests {
         let b = IsaProgram::from_channels(vec![vec![PimInst::Drain { bytes: 8 }]]);
         a.append(&b);
         assert_eq!(
-            a.channels()[0],
+            *a.channels()[0],
             vec![
                 PimInst::RowActivate { row: 0 },
                 PimInst::Barrier,
@@ -402,7 +497,7 @@ mod tests {
         let b = IsaProgram::from_channels(vec![vec![PimInst::Drain { bytes: 8 }]]);
         a.append_overlapped(&b);
         assert_eq!(
-            a.channels()[0],
+            *a.channels()[0],
             vec![
                 PimInst::RowActivate { row: 0 },
                 PimInst::OverlapBarrier,
@@ -429,7 +524,7 @@ mod tests {
         assert_eq!(p.max_row(), Some(7));
         p.offset_rows(10);
         assert_eq!(
-            p.channels()[0],
+            *p.channels()[0],
             vec![
                 PimInst::RowActivate { row: 13 },
                 PimInst::MacBurst {
@@ -441,6 +536,84 @@ mod tests {
         );
         assert_eq!(p.max_row(), Some(17));
         assert_eq!(IsaProgram::new(1).max_row(), None);
+    }
+
+    fn unshared(p: &IsaProgram) -> IsaProgram {
+        IsaProgram::from_channels(p.channels().iter().map(|s| s.to_vec()).collect())
+    }
+
+    #[test]
+    fn transformations_map_each_shared_stream_once() {
+        let a = Arc::new(vec![
+            PimInst::BufWrite {
+                buffer: 0,
+                bytes: 8,
+            },
+            PimInst::RowActivate { row: 1 },
+            PimInst::Drain { bytes: 4 },
+        ]);
+        let b = Arc::new(vec![PimInst::RowActivate { row: 2 }]);
+        let mut p = IsaProgram::from_streams(vec![a.clone(), a.clone(), b]);
+        let mut flat = unshared(&p);
+        assert_eq!(p, flat, "sharing is invisible to equality");
+        assert_eq!((p.distinct_streams(), flat.distinct_streams()), (2, 3));
+
+        p = FusedRole::Middle.rewrite_program(p);
+        flat = FusedRole::Middle.rewrite_program(flat);
+        p.offset_rows(5);
+        flat.offset_rows(5);
+        p.barrier();
+        flat.barrier();
+        assert_eq!(p, flat);
+        assert_eq!(p.distinct_streams(), 2);
+        // The caller's handle on the original stream is untouched.
+        assert_eq!(a[1], PimInst::RowActivate { row: 1 });
+
+        // Linking builds one stream per distinct (own, other) pair.
+        let c = Arc::new(vec![PimInst::Drain { bytes: 2 }]);
+        let d = Arc::new(vec![PimInst::Drain { bytes: 6 }]);
+        let other = IsaProgram::from_streams(vec![c.clone(), d, c]);
+        p.append_overlapped(&other);
+        flat.append_overlapped(&unshared(&other));
+        assert_eq!(p, flat);
+        assert_eq!(p.distinct_streams(), 3);
+        let barrier = Arc::new(vec![PimInst::Barrier]);
+        let uniform = IsaProgram::from_streams(vec![barrier; 3]);
+        p.append(&uniform);
+        flat.append(&uniform);
+        assert_eq!(p, flat);
+        assert_eq!(p.distinct_streams(), 3);
+    }
+
+    #[test]
+    fn rewrites_of_owned_streams_happen_in_place() {
+        let drain = Arc::new(vec![PimInst::Drain { bytes: 4 }]);
+        let p = IsaProgram::from_streams(vec![drain; 4]);
+        let before = Arc::as_ptr(&p.channels()[0]);
+        let p = FusedRole::Head.rewrite_program(p);
+        assert_eq!(Arc::as_ptr(&p.channels()[0]), before);
+        assert_eq!(p.distinct_streams(), 1);
+        assert_eq!(
+            *p.channels()[3],
+            vec![PimInst::BankFeed {
+                buffer: 0,
+                bytes: 4
+            }]
+        );
+        // Standalone is the identity and keeps the very same streams.
+        let same = FusedRole::Standalone.rewrite_program(p.clone());
+        assert!(Arc::ptr_eq(&same.channels()[0], &p.channels()[0]));
+    }
+
+    #[test]
+    fn push_unshares_only_its_channel() {
+        let barrier = Arc::new(vec![PimInst::Barrier]);
+        let mut p = IsaProgram::from_streams(vec![barrier; 3]);
+        p.push(1, PimInst::Drain { bytes: 1 });
+        assert_eq!(p.distinct_streams(), 2);
+        assert_eq!(p.channels()[1].len(), 2);
+        assert_eq!(p.channels()[0].len(), 1);
+        assert!(Arc::ptr_eq(&p.channels()[0], &p.channels()[2]));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub fn program_to_text(program: &IsaProgram) -> String {
     let mut out = String::new();
     for (ch, stream) in program.channels().iter().enumerate() {
         let _ = writeln!(out, "{PROGRAM_HEADER} channel={ch}");
-        for inst in stream {
+        for inst in stream.iter() {
             out.push_str(&inst_to_line(inst));
             out.push('\n');
         }
@@ -228,6 +228,7 @@ mod tests {
     fn blank_lines_and_comments_are_ignored() {
         let text = format!("{PROGRAM_HEADER} channel=0\n\n# a comment\nROWACT row=1\n");
         let p = parse_program(&text).unwrap();
-        assert_eq!(p.channels(), &[vec![PimInst::RowActivate { row: 1 }]][..]);
+        assert_eq!(p.num_channels(), 1);
+        assert_eq!(*p.channels()[0], vec![PimInst::RowActivate { row: 1 }]);
     }
 }

@@ -113,34 +113,41 @@ impl CommandBlock {
     /// then for each G_ACT a COMP burst per buffer, then one READRES per
     /// input row.
     pub fn expand(&self) -> Vec<PimCommand> {
-        let mut out = Vec::with_capacity(
-            self.total_gwrites() as usize
-                + self.gacts as usize * (1 + self.buffer_rows as usize)
-                + 1,
-        );
+        let mut out = Vec::with_capacity(self.command_count());
+        self.for_each_command(|cmd| out.push(cmd));
+        out
+    }
+
+    /// Length of [`CommandBlock::expand`]'s sequence.
+    pub(crate) fn command_count(&self) -> usize {
+        self.total_gwrites() as usize + self.gacts as usize * (1 + self.buffer_rows as usize) + 1
+    }
+
+    /// Feeds the block's command sequence (see [`CommandBlock::expand`])
+    /// to `f` without materializing it.
+    pub(crate) fn for_each_command(&self, mut f: impl FnMut(PimCommand)) {
         for row in 0..self.buffer_rows {
             for _ in 0..self.gwrites_per_row {
-                out.push(PimCommand::Gwrite {
+                f(PimCommand::Gwrite {
                     buffer: row,
                     bytes: self.gwrite_bytes / self.gwrites_per_row.max(1) as u32,
                 });
             }
         }
         for a in 0..self.gacts {
-            out.push(PimCommand::GAct {
+            f(PimCommand::GAct {
                 row: self.row_base + a,
             });
             for row in 0..self.buffer_rows {
-                out.push(PimCommand::Comp {
+                f(PimCommand::Comp {
                     buffer: row,
                     repeat: self.comps_per_gact,
                 });
             }
         }
-        out.push(PimCommand::ReadRes {
+        f(PimCommand::ReadRes {
             bytes: self.readres_bytes * self.buffer_rows as u32,
         });
-        out
     }
 }
 

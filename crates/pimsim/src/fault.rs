@@ -48,6 +48,10 @@ pub struct ChannelFault {
     pub kind: FaultKind,
 }
 
+/// A channel's fault condition as the timing engine sees it: remaining
+/// I/O bandwidth in percent and the pending stall `(start, duration)`.
+pub(crate) type FaultCondition = (u32, Option<(u64, u64)>);
+
 /// A deterministic description of which channels are faulty and how.
 ///
 /// At most one fault is kept per channel; pushing a second fault for the
@@ -159,6 +163,13 @@ impl FaultPlan {
             }) => Some((start_cycle, duration_cycles)),
             _ => None,
         }
+    }
+
+    /// What a channel engine knows about `channel` besides its command
+    /// stream: the I/O derating and the pending stall. Two channels with
+    /// equal conditions time an equal stream identically.
+    pub(crate) fn condition(&self, channel: usize) -> FaultCondition {
+        (self.derate_percent(channel), self.stall(channel))
     }
 
     /// Indices in `0..total` that are not hard-failed, in ascending order.

@@ -14,15 +14,30 @@
 //!
 //! — so lowering a program and lifting a trace are exact inverses, and a
 //! barrier-free program times **bit-identically** to running its lowered
-//! traces through [`run_channels`] directly. That identity is the
-//! interpreter contract the compiler relies on: moving codegen onto the ISA
-//! changed no timing anywhere. `BARRIER`s (which command traces cannot
-//! express) split a program into epochs that run back to back.
+//! traces through [`run_channels`](crate::timing::run_channels) directly.
+//! That identity is the interpreter contract the compiler relies on:
+//! moving codegen onto the ISA changed no timing anywhere. `BARRIER`s
+//! (which command traces cannot express) split a program into epochs that
+//! run back to back.
 
-use crate::command::PimCommand;
+use crate::command::{CommandBlock, PimCommand};
 use crate::config::PimConfig;
-use crate::timing::{run_channels, ChannelEngine, ChannelStats, RunOptions};
-use pimflow_isa::{BackendKind, Interpreter, IsaProgram, PimInst};
+use crate::fault::{FaultCondition, FaultPlan};
+use crate::scheduler::{schedule_distinct, ScheduleGranularity};
+use crate::timing::{ChannelEngine, ChannelStats, RunOptions};
+use pimflow_isa::{BackendKind, Interpreter, IsaProgram, PimInst, ProgramError};
+use std::sync::Arc;
+
+fn lift_command(cmd: PimCommand) -> PimInst {
+    match cmd {
+        PimCommand::Gwrite { buffer, bytes } => PimInst::BufWrite { buffer, bytes },
+        PimCommand::GAct { row } => PimInst::RowActivate { row },
+        PimCommand::Comp { buffer, repeat } => PimInst::MacBurst { buffer, repeat },
+        PimCommand::ReadRes { bytes } => PimInst::Drain { bytes },
+        PimCommand::BankFeed { buffer, bytes } => PimInst::BankFeed { buffer, bytes },
+        PimCommand::GpuBurst { bytes } => PimInst::HostBurst { bytes },
+    }
+}
 
 /// Lifts scheduled per-channel command traces into an ISA program (the
 /// exact inverse of [`NewtonInterpreter::lower`]).
@@ -30,22 +45,33 @@ pub fn lift_traces(traces: &[Vec<PimCommand>]) -> IsaProgram {
     IsaProgram::from_channels(
         traces
             .iter()
-            .map(|t| {
-                t.iter()
-                    .map(|cmd| match *cmd {
-                        PimCommand::Gwrite { buffer, bytes } => PimInst::BufWrite { buffer, bytes },
-                        PimCommand::GAct { row } => PimInst::RowActivate { row },
-                        PimCommand::Comp { buffer, repeat } => PimInst::MacBurst { buffer, repeat },
-                        PimCommand::ReadRes { bytes } => PimInst::Drain { bytes },
-                        PimCommand::BankFeed { buffer, bytes } => {
-                            PimInst::BankFeed { buffer, bytes }
-                        }
-                        PimCommand::GpuBurst { bytes } => PimInst::HostBurst { bytes },
-                    })
-                    .collect()
-            })
+            .map(|t| t.iter().map(|&cmd| lift_command(cmd)).collect())
             .collect(),
     )
+}
+
+/// Schedules `blocks` over `channels` channels exactly as
+/// [`schedule`](crate::scheduler::schedule) does and lifts the result into
+/// an ISA program, equal to `lift_traces(&schedule(..))`.
+///
+/// Channels assigned equal unit sequences share one stream: each distinct
+/// sequence is expanded and lifted once, and the interpreter then times it
+/// once per fault condition.
+///
+/// # Panics
+///
+/// Panics if `channels == 0` or the plan leaves no channel alive.
+pub fn schedule_program(
+    blocks: &[CommandBlock],
+    channels: usize,
+    granularity: ScheduleGranularity,
+    cfg: &PimConfig,
+    opts: &RunOptions<'_>,
+) -> IsaProgram {
+    let (streams, index) =
+        schedule_distinct(blocks, channels, granularity, cfg, opts, lift_command);
+    let streams: Vec<Arc<Vec<PimInst>>> = streams.into_iter().map(Arc::new).collect();
+    IsaProgram::from_streams(index.into_iter().map(|i| streams[i].clone()).collect())
 }
 
 /// Executes ISA programs on the cycle-level Newton channel engine.
@@ -79,8 +105,8 @@ impl<'a> NewtonInterpreter<'a> {
             PimInst::Drain { bytes } => Some(PimCommand::ReadRes { bytes }),
             PimInst::BankFeed { buffer, bytes } => Some(PimCommand::BankFeed { buffer, bytes }),
             PimInst::HostBurst { bytes } => Some(PimCommand::GpuBurst { bytes }),
-            // Barriers carry no command. The hard barrier partitions
-            // execution into epochs before lowering; the overlap barrier
+            // Barriers carry no command. The hard barrier ends an epoch
+            // (the channel engine restarts from reset); the overlap barrier
             // deliberately vanishes *without* an epoch split, so
             // overlap-linked member streams run through one continuous
             // channel engine — carried row/refresh/pacing state and
@@ -91,31 +117,31 @@ impl<'a> NewtonInterpreter<'a> {
     }
 
     /// Runs a program and returns the merged statistics, exactly as
-    /// [`run_channels`] reports them for the lowered traces.
+    /// [`run_channels`](crate::timing::run_channels) reports them for the
+    /// lowered traces.
     ///
     /// A barrier-free program (everything the block scheduler generates)
-    /// takes the direct path: its statistics are bit-identical to running
-    /// the lowered traces through [`run_channels`] with the same options.
-    /// A program with barriers runs epoch by epoch — each epoch's channels
-    /// in parallel (max cycles), consecutive epochs back to back (summed
+    /// is one epoch: its statistics are bit-identical to running the
+    /// lowered traces through `run_channels` with the same options. A
+    /// program with barriers runs epoch by epoch — each epoch's channels in
+    /// parallel (max cycles), consecutive epochs back to back (summed
     /// cycles) — with each channel's engine state reset at the barrier.
     /// Stall faults are epoch-local under that reset: a scheduled stall can
     /// fire once per epoch on the channel it targets.
     ///
-    /// The per-channel callback, if any, receives each channel's
-    /// epoch-summed statistics once, in channel order, before the merge.
+    /// Each distinct (stream, fault condition) pair is timed once: a
+    /// channel engine's statistics are a pure function of its command
+    /// stream, the config, and its fault condition (derating and stall),
+    /// so channels sharing a stream under the same condition reuse one
+    /// run. The per-channel callback, if any, still receives every
+    /// channel's epoch-summed statistics once, in channel order, before
+    /// the merge.
     ///
     /// # Panics
     ///
     /// Panics when the program's barriers are unbalanced across channels,
     /// or a dead channel (per the options' fault plan) has work scheduled.
     pub fn run(&self, program: &IsaProgram, opts: RunOptions<'_>) -> ChannelStats {
-        let epochs = program
-            .epochs()
-            .unwrap_or_else(|e| panic!("newton interpreter: {e}"));
-        if epochs.len() == 1 {
-            return run_channels(self.cfg, &self.lower(program), opts);
-        }
         let RunOptions {
             faults,
             mut on_channel,
@@ -124,35 +150,107 @@ impl<'a> NewtonInterpreter<'a> {
         let plan = match faults {
             Some(p) => p,
             None => {
-                healthy = crate::fault::FaultPlan::healthy();
+                healthy = FaultPlan::healthy();
                 &healthy
             }
         };
-        let channels = program.num_channels();
-        let mut per_channel = vec![ChannelStats::default(); channels];
-        let mut total = ChannelStats::default();
-        for epoch in &epochs {
-            let mut epoch_merged = ChannelStats::default();
-            for (ch, insts) in epoch.iter().enumerate() {
-                let trace: Vec<PimCommand> = insts.iter().filter_map(Self::lower_inst).collect();
-                assert!(
-                    !plan.is_dead(ch) || trace.is_empty(),
-                    "dead channel {ch} was scheduled {} commands",
-                    trace.len()
-                );
-                let stats = ChannelEngine::with_fault(*self.cfg, plan, ch).run(&trace);
-                per_channel[ch] = per_channel[ch].merge_sequential(&stats);
-                epoch_merged = epoch_merged.merge_parallel(&stats);
+        let mut timed: Vec<TimedStream<'_>> = Vec::new();
+        let mut slots: Vec<usize> = Vec::with_capacity(program.num_channels());
+        for (ch, stream) in program.channels().iter().enumerate() {
+            let condition = plan.condition(ch);
+            let slot = match timed
+                .iter()
+                .position(|t| Arc::ptr_eq(t.stream, stream) && t.condition == condition)
+            {
+                Some(slot) => slot,
+                None => {
+                    timed.push(self.time_stream(stream, plan, ch));
+                    timed.len() - 1
+                }
+            };
+            if let Some(&first) = slots.first() {
+                let (have, want) = (timed[slot].epochs.len(), timed[first].epochs.len());
+                if have != want {
+                    let e = ProgramError::UnbalancedBarriers {
+                        channel: ch,
+                        have: have - 1,
+                        want: want - 1,
+                    };
+                    panic!("newton interpreter: {e}");
+                }
             }
+            let commands = timed[slot].commands;
+            assert!(
+                !plan.is_dead(ch) || commands == 0,
+                "dead channel {ch} was scheduled {commands} commands"
+            );
+            slots.push(slot);
+        }
+
+        let epochs = slots.first().map_or(0, |&s| timed[s].epochs.len());
+        let mut total = ChannelStats::default();
+        for epoch in 0..epochs {
+            let epoch_merged = slots.iter().fold(ChannelStats::default(), |acc, &slot| {
+                acc.merge_parallel(&timed[slot].epochs[epoch])
+            });
             total = total.merge_sequential(&epoch_merged);
         }
         if let Some(cb) = on_channel.as_mut() {
-            for (ch, stats) in per_channel.iter().enumerate() {
-                cb(ch, stats);
+            for (ch, &slot) in slots.iter().enumerate() {
+                cb(ch, &timed[slot].summed);
             }
         }
         total
     }
+
+    /// Runs one stream on a channel engine under `channel`'s fault
+    /// condition, resetting the engine at every hard barrier.
+    fn time_stream<'s>(
+        &self,
+        stream: &'s Arc<Vec<PimInst>>,
+        plan: &FaultPlan,
+        channel: usize,
+    ) -> TimedStream<'s> {
+        let mut epochs = Vec::new();
+        let mut commands = 0usize;
+        let mut engine = ChannelEngine::with_fault(*self.cfg, plan, channel);
+        for inst in stream.iter() {
+            match Self::lower_inst(inst) {
+                Some(cmd) => {
+                    commands += 1;
+                    engine.execute(&cmd);
+                }
+                None if matches!(inst, PimInst::Barrier) => {
+                    let next = ChannelEngine::with_fault(*self.cfg, plan, channel);
+                    epochs.push(std::mem::replace(&mut engine, next).finish());
+                }
+                None => {}
+            }
+        }
+        epochs.push(engine.finish());
+        let summed = epochs
+            .iter()
+            .fold(ChannelStats::default(), |acc, s| acc.merge_sequential(s));
+        TimedStream {
+            stream,
+            condition: plan.condition(channel),
+            commands,
+            epochs,
+            summed,
+        }
+    }
+}
+
+/// One distinct (stream, fault condition) pair and its timing.
+struct TimedStream<'s> {
+    stream: &'s Arc<Vec<PimInst>>,
+    condition: FaultCondition,
+    /// Data-path instructions (barriers excluded).
+    commands: usize,
+    /// Statistics per barrier-separated epoch.
+    epochs: Vec<ChannelStats>,
+    /// The epochs merged back to back.
+    summed: ChannelStats,
 }
 
 impl Interpreter for NewtonInterpreter<'_> {
@@ -169,8 +267,8 @@ impl Interpreter for NewtonInterpreter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::CommandBlock;
-    use crate::scheduler::{schedule, ScheduleGranularity};
+    use crate::scheduler::schedule;
+    use crate::timing::run_channels;
 
     fn sample_traces() -> Vec<Vec<PimCommand>> {
         let blocks = vec![
@@ -201,6 +299,35 @@ mod tests {
         let program = lift_traces(&traces);
         let lowered = NewtonInterpreter::new(&PimConfig::default()).lower(&program);
         assert_eq!(lowered, traces);
+    }
+
+    #[test]
+    fn scheduled_program_shares_equal_channel_streams() {
+        let cfg = PimConfig::default();
+        let blocks = vec![
+            CommandBlock {
+                buffer_rows: 4,
+                gwrite_bytes: 128,
+                gwrites_per_row: 1,
+                gacts: 8,
+                comps_per_gact: 16,
+                readres_bytes: 64,
+                oc_splits: 8,
+                row_base: 0,
+            };
+            32
+        ];
+        let opts = RunOptions::new();
+        let program = schedule_program(&blocks, 16, ScheduleGranularity::Comp, &cfg, &opts);
+        let traces = schedule(&blocks, 16, ScheduleGranularity::Comp, &cfg, &opts);
+        assert_eq!(program, lift_traces(&traces));
+        // 32 equal blocks over 16 channels: every channel runs two of them.
+        assert_eq!(program.distinct_streams(), 1);
+        let interp = NewtonInterpreter::new(&cfg);
+        assert_eq!(
+            interp.run(&program, RunOptions::new()),
+            run_channels(&cfg, &traces, RunOptions::new())
+        );
     }
 
     #[test]

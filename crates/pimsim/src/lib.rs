@@ -45,6 +45,9 @@
 //! The same traces lift into the typed `pimflow-isa` program form via
 //! [`lift_traces`], where [`NewtonInterpreter`] gives them exactly the
 //! timing above — the simulator is the Newton *interpretation* of the ISA.
+//! [`schedule_program`] schedules straight into that form, with channels
+//! that run equal unit sequences sharing one stream, which the
+//! interpreter then times once.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -63,7 +66,7 @@ pub use command::{CommandBlock, PimCommand};
 pub use config::{ConfigError, DramTiming, PimConfig};
 pub use energy::{pim_energy_breakdown, pim_energy_nj, PimEnergyBreakdown, PimEnergyParams};
 pub use fault::{ChannelFault, FaultKind, FaultPlan};
-pub use interp::{lift_traces, NewtonInterpreter};
+pub use interp::{lift_traces, schedule_program, NewtonInterpreter};
 pub use memsys::MemorySystem;
 pub use scheduler::{
     estimate_block_cycles, schedule, schedule_refined, split_for_channels, ScheduleGranularity,

@@ -166,7 +166,8 @@ pub fn split_for_channels(
 /// [`run_channels`](crate::timing::run_channels).
 ///
 /// The returned vector always has `channels` entries so trace index `i`
-/// always corresponds to physical channel `i`.
+/// always corresponds to physical channel `i`. Channels assigned equal
+/// unit sequences get copies of one expansion.
 ///
 /// # Panics
 ///
@@ -178,6 +179,68 @@ pub fn schedule(
     cfg: &PimConfig,
     opts: &RunOptions<'_>,
 ) -> Vec<Vec<PimCommand>> {
+    let (traces, index) = schedule_distinct(blocks, channels, granularity, cfg, opts, |c| c);
+    index.into_iter().map(|i| traces[i].clone()).collect()
+}
+
+/// [`schedule`]'s assignment with each distinct channel stream built once:
+/// returns the distinct streams (each unit's commands mapped through
+/// `lift`) in first-use order, and each channel's index into them.
+/// Channels whose unit sequences are equal by value share a stream;
+/// comparing unit sequences is cheap, their expansions are what is worth
+/// building once.
+///
+/// # Panics
+///
+/// Panics if `channels == 0` or the plan leaves no channel alive.
+pub(crate) fn schedule_distinct<T>(
+    blocks: &[CommandBlock],
+    channels: usize,
+    granularity: ScheduleGranularity,
+    cfg: &PimConfig,
+    opts: &RunOptions<'_>,
+    lift: impl Fn(PimCommand) -> T,
+) -> (Vec<Vec<T>>, Vec<usize>) {
+    let units = schedule_units(blocks, channels, granularity, cfg, opts);
+    let mut distinct: Vec<&[CommandBlock]> = Vec::new();
+    let index = units
+        .iter()
+        .map(
+            |seq| match distinct.iter().position(|d| *d == seq.as_slice()) {
+                Some(i) => i,
+                None => {
+                    distinct.push(seq);
+                    distinct.len() - 1
+                }
+            },
+        )
+        .collect();
+    let streams = distinct
+        .iter()
+        .map(|seq| {
+            let mut stream = Vec::with_capacity(seq.iter().map(CommandBlock::command_count).sum());
+            for unit in *seq {
+                unit.for_each_command(|cmd| stream.push(lift(cmd)));
+            }
+            stream
+        })
+        .collect();
+    (streams, index)
+}
+
+/// The LPT assignment behind [`schedule`], before expansion: per channel,
+/// the units it runs, in program order. Dead channels get none.
+///
+/// # Panics
+///
+/// Panics if `channels == 0` or the plan leaves no channel alive.
+fn schedule_units(
+    blocks: &[CommandBlock],
+    channels: usize,
+    granularity: ScheduleGranularity,
+    cfg: &PimConfig,
+    opts: &RunOptions<'_>,
+) -> Vec<Vec<CommandBlock>> {
     assert!(channels > 0, "need at least one PIM channel");
     let healthy;
     let plan = match opts.faults {
@@ -190,8 +253,12 @@ pub fn schedule(
     let alive = plan.alive_channels(channels);
     assert!(!alive.is_empty(), "need at least one live PIM channel");
     let units = split_for_channels(blocks, alive.len(), granularity);
+    let estimates: Vec<u64> = units
+        .iter()
+        .map(|u| estimate_block_cycles(u, cfg))
+        .collect();
     let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(estimate_block_cycles(&units[i], cfg)));
+    order.sort_by_key(|&i| std::cmp::Reverse(estimates[i]));
 
     // LPT over the live channels only, with per-channel weighting: a block
     // on a derated channel costs proportionally more, and a pending stall
@@ -203,21 +270,17 @@ pub fn schedule(
     let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); alive.len()];
     for i in order {
         let slot = (0..alive.len()).min_by_key(|&s| loads[s]).expect("alive");
-        let est = estimate_block_cycles(&units[i], cfg);
-        loads[slot] += est * 100 / plan.derate_percent(alive[slot]) as u64;
+        loads[slot] += estimates[i] * 100 / plan.derate_percent(alive[slot]) as u64;
         assignment[slot].push(i);
     }
 
-    let mut traces: Vec<Vec<PimCommand>> = vec![Vec::new(); channels];
+    let mut per_channel: Vec<Vec<CommandBlock>> = vec![Vec::new(); channels];
     for (slot, mut idxs) in assignment.into_iter().enumerate() {
         // Preserve original program order within a channel.
         idxs.sort_unstable();
-        let trace = &mut traces[alive[slot]];
-        for i in idxs {
-            trace.extend(units[i].expand());
-        }
+        per_channel[alive[slot]] = idxs.into_iter().map(|i| units[i]).collect();
     }
-    traces
+    per_channel
 }
 
 /// Measurement-guided refinement of [`schedule`]: simulate the LPT

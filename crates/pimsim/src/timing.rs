@@ -215,8 +215,7 @@ impl ChannelEngine {
     /// yields zeroed stats.
     pub fn with_fault(cfg: PimConfig, plan: &crate::fault::FaultPlan, channel: usize) -> Self {
         let mut engine = ChannelEngine::new(cfg);
-        engine.derate_percent = plan.derate_percent(channel);
-        engine.stall = plan.stall(channel);
+        (engine.derate_percent, engine.stall) = plan.condition(channel);
         engine
     }
 
